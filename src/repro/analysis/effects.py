@@ -13,6 +13,11 @@ per lambda:
 * **nondeterminism** — references to ``random``/``time``/``uuid``/``id``
   style names whose value varies across calls.
 
+I/O and nondeterminism names count only where the lambda loads them as a
+global or closure variable, or as an attribute chained off one
+(``time.time``, ``rnd.random``).  Attributes of the lambda's own
+parameters are record fields: ``lambda r: r.time > 3`` is pure.
+
 The verdict is advisory metadata about *intent*: tracing bakes each
 lambda's behaviour into a fixed expression tree, so the tree itself is
 always deterministic.  The gates keyed off the verdict are therefore
@@ -75,6 +80,33 @@ _MUTATOR_NAMES = frozenset(
 )
 
 _MUTABLE_TYPES = (list, dict, set, bytearray)
+
+#: attribute loads (``LOAD_METHOD`` before Python 3.12)
+_ATTR_LOADS = ("LOAD_ATTR", "LOAD_METHOD")
+
+
+def _referenced_names(code: Any) -> set:
+    """Globals and closure variables *code* loads, plus the attribute
+    names chained directly off one.
+
+    Attributes of the lambda's own parameters and locals (``r.id``) are
+    skipped: they name record fields, not the ``id`` builtin.
+    """
+    names = set()
+    chained = False
+    for instruction in dis.get_instructions(code):
+        opname = instruction.opname
+        if opname == "LOAD_GLOBAL" or (
+            opname == "LOAD_DEREF" and instruction.argval in code.co_freevars
+        ):
+            names.add(instruction.argval)
+            chained = True
+        elif opname in _ATTR_LOADS:
+            if chained:
+                names.add(instruction.argval)
+        else:
+            chained = False
+    return names
 
 
 @dataclass(frozen=True)
@@ -162,12 +194,13 @@ def analyze_callable(fn: Any) -> EffectReport:
                 )
                 break
 
-    io_hits = sorted(names & _IO_NAMES)
+    referenced = _referenced_names(code)
+    io_hits = sorted(referenced & _IO_NAMES)
     if io_hits:
         io = True
         reasons.append(f"performs I/O via {io_hits[0]!r}")
 
-    nondet_hits = sorted(names & _NONDET_NAMES)
+    nondet_hits = sorted(referenced & _NONDET_NAMES)
     if nondet_hits:
         nondeterministic = True
         reasons.append(

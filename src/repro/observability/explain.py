@@ -254,8 +254,9 @@ def _adaptive_verdict(
         controller = resolve(adaptive, engine)
         if controller is None:
             return ""
-        _, _, decision, _ = provider._adaptive_decide(
-            expr, sources, engine, controller, explore=False
+        resolved = provider._resolve(expr, sources, engine)
+        _, _, decision = provider._adaptive_decide(
+            resolved, sources, engine, controller, explore=False
         )
         return decision.describe()
     except Exception:  # noqa: BLE001 - explain must never fail on adaptivity

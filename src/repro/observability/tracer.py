@@ -299,19 +299,26 @@ class _Capture:
                 pass
 
 
-def traced_rows(tracer: Tracer, iterator: Iterator[Any], **attrs: Any):
+def traced_rows(
+    tracer: Tracer,
+    iterator: Iterator[Any],
+    started: Optional[float] = None,
+    **attrs: Any,
+):
     """Wrap a lazy result iterator so its drain records a ``query.execute``
     span (rows counted), honouring deferred execution.
 
     Created only while the tracer is active; the span is recorded when the
     iterator is exhausted *or* closed early (partial drains record the
-    rows seen with ``complete=False``).
+    rows seen with ``complete=False``).  *started* is the span's start
+    when the kernel was invoked before the drain (eager engines do their
+    work then); it defaults to the first ``next()``.
     """
 
     def generator():
         rows = 0
         complete = False
-        started = time.perf_counter()
+        began = time.perf_counter() if started is None else started
         try:
             for row in iterator:
                 rows += 1
@@ -320,7 +327,7 @@ def traced_rows(tracer: Tracer, iterator: Iterator[Any], **attrs: Any):
         finally:
             tracer.record(
                 "query.execute",
-                started,
+                began,
                 time.perf_counter(),
                 rows=rows,
                 complete=complete,

@@ -85,30 +85,6 @@ _SEQUENTIAL = object()
 _MAX_FACTS_ENTRIES = 1024
 
 
-def _freeze_binding_value(value: Any) -> Any:
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze_binding_value(v) for v in value)
-    if isinstance(value, dict):
-        return tuple(
-            sorted((k, _freeze_binding_value(v)) for k, v in value.items())
-        )
-    if isinstance(value, set):
-        return frozenset(value)
-    return value
-
-
-def _frozen_bindings(bindings: Dict[str, Any]) -> Optional[tuple]:
-    """Hashable snapshot of the binding values, or None if unhashable."""
-    try:
-        frozen = tuple(
-            sorted((k, _freeze_binding_value(v)) for k, v in bindings.items())
-        )
-        hash(frozen)
-    except TypeError:
-        return None
-    return frozen
-
-
 class QueryProvider:
     """Compiles and executes queries for every non-baseline engine."""
 
@@ -187,134 +163,69 @@ class QueryProvider:
             with TRACER.span("query.canonicalize", engine="linq"):
                 canonical = canonicalize(expr)
             self._analysis_for(canonical, sources)
+            started = time.perf_counter()
             iterator = enumerate_query(expr, sources, params)
             if TRACER.active:
-                return traced_rows(TRACER, iterator, engine="linq")
+                return traced_rows(TRACER, iterator, started, engine="linq")
             return iterator
-        controller = self._adaptive_controller(adaptive, engine)
-        decision: Optional[Decision] = None
-        adaptive_key = ""
-        estimate: Optional[RowEstimate] = None
-        if controller is not None:
-            adaptive_key, estimate, decision, canonical = self._adaptive_decide(
-                expr, sources, engine, controller
-            )
-            compiled, bindings, run_engine = self._compiled_adaptive(
-                expr, sources, engine, decision, canonical=canonical
-            )
-        else:
-            # the sequential artifact compiles first even under
-            # parallelism: it is the fallback, and it guarantees exact
-            # error parity (a query the engine rejects is rejected with
-            # or without workers)
-            compiled, bindings = self._compiled_for(expr, sources, engine)
-            run_engine = engine
-        if compiled.scalar:
+        run = self._start(
+            expr, sources, engine, adaptive, parallelism, morsel_size, distributed
+        )
+        if run.compiled.scalar:
             raise ExecutionError(
                 "this query is a scalar aggregate; use the terminal method"
             )
-        # caller-explicit knobs always beat the adaptive decision
-        effective_parallelism = parallelism
-        if effective_parallelism is None and decision is not None:
-            effective_parallelism = decision.workers
-        effective_morsel = morsel_size
-        if effective_morsel is None and decision is not None:
-            effective_morsel = decision.morsel
-        effective_distributed = distributed
-        if effective_distributed is None and decision is not None:
-            effective_distributed = getattr(decision, "distributed", None)
-        dist = self._distributed_plan(
-            expr,
-            sources,
-            run_engine,
-            effective_distributed,
-            scalar=False,
-            params={**bindings, **params},
-        )
+        params = {**run.resolved.canonical.bindings, **params}
+        dist = self._distributed_plan(run, sources, scalar=False, params=params)
         if dist is not None:
             dist_workers, dist_artifact = dist
             started = time.perf_counter()
-            rows = dist_artifact.execute(
-                sources, {**bindings, **params}, dist_workers
-            )
-            ended = time.perf_counter()
+            rows = dist_artifact.execute(sources, params, dist_workers)
             TRACER.record(
                 "query.execute",
                 started,
-                ended,
+                time.perf_counter(),
                 rows=len(rows),
-                engine=run_engine,
+                engine=run.engine,
                 distributed=True,
             )
-            if controller is not None:
-                controller.observe(
-                    adaptive_key,
-                    decision,
-                    run_engine,
-                    dist_workers,
-                    0,
-                    (ended - started) * 1e3,
-                    len(rows),
-                    estimate,
-                    distributed=dist_workers,
-                )
+            run.observe(started, dist_workers, 0, len(rows), dist_workers)
             return iter(rows)
         parallel = self._parallel_plan(
-            expr, sources, run_engine, effective_parallelism, scalar=False
+            run.resolved, sources, run.engine, run.parallelism, scalar=False
         )
         if parallel is not None:
             workers, morsel_rows, artifact = parallel
-            morsel = effective_morsel or morsel_rows
+            morsel = run.morsel or morsel_rows
             redecide = None
-            if controller is not None:
-                redecide = controller.redecider(
-                    estimate, source_length(sources[artifact.morsel_ordinal])
+            if run.controller is not None:
+                redecide = run.controller.redecider(
+                    run.estimate, source_length(sources[artifact.morsel_ordinal])
                 )
             started = time.perf_counter()
             rows = artifact.execute(
-                sources,
-                {**bindings, **params},
-                workers,
-                morsel,
-                redecide=redecide,
+                sources, params, workers, morsel, redecide=redecide
             )
-            ended = time.perf_counter()
             TRACER.record(
                 "query.execute",
                 started,
-                ended,
+                time.perf_counter(),
                 rows=len(rows),
-                engine=run_engine,
+                engine=run.engine,
                 parallel=True,
             )
-            if controller is not None:
-                controller.observe(
-                    adaptive_key,
-                    decision,
-                    run_engine,
-                    workers,
-                    morsel,
-                    (ended - started) * 1e3,
-                    len(rows),
-                    estimate,
-                )
+            run.observe(started, workers, morsel, len(rows))
             return iter(rows)
+        # the span starts before the kernel call: eager engines (native,
+        # hybrid) do all their work inside it, lazy ones while drained
         started = time.perf_counter()
-        iterator = iter(compiled.execute(sources, {**bindings, **params}))
+        iterator = iter(run.compiled.execute(sources, params))
         if TRACER.active:
-            iterator = traced_rows(TRACER, iterator, engine=run_engine)
-        if controller is not None:
+            iterator = traced_rows(TRACER, iterator, started, engine=run.engine)
+        if run.controller is not None:
             # wall time and cardinality land in the profile when the
             # caller exhausts (or abandons) the lazy result
-            iterator = _observe_rows(
-                iterator,
-                controller,
-                adaptive_key,
-                decision,
-                run_engine,
-                estimate,
-                started,
-            )
+            iterator = _observe_rows(iterator, run, started)
         return iterator
 
     def execute_scalar(
@@ -336,101 +247,92 @@ class QueryProvider:
             self._analysis_for(canonical, sources)
             with TRACER.span("query.execute", engine="linq", scalar=True):
                 return scalar_query(expr, sources, params)
-        controller = self._adaptive_controller(adaptive, engine)
-        decision: Optional[Decision] = None
-        adaptive_key = ""
-        estimate: Optional[RowEstimate] = None
-        if controller is not None:
-            adaptive_key, estimate, decision, canonical = self._adaptive_decide(
-                expr, sources, engine, controller
-            )
-            compiled, bindings, run_engine = self._compiled_adaptive(
-                expr, sources, engine, decision, canonical=canonical
-            )
-        else:
-            compiled, bindings = self._compiled_for(expr, sources, engine)
-            run_engine = engine
-        if not compiled.scalar:
-            raise ExecutionError("not a scalar query")
-        effective_parallelism = parallelism
-        if effective_parallelism is None and decision is not None:
-            effective_parallelism = decision.workers
-        effective_morsel = morsel_size
-        if effective_morsel is None and decision is not None:
-            effective_morsel = decision.morsel
-        effective_distributed = distributed
-        if effective_distributed is None and decision is not None:
-            effective_distributed = getattr(decision, "distributed", None)
-        dist = self._distributed_plan(
-            expr,
-            sources,
-            run_engine,
-            effective_distributed,
-            scalar=True,
-            params={**bindings, **params},
+        run = self._start(
+            expr, sources, engine, adaptive, parallelism, morsel_size, distributed
         )
+        if not run.compiled.scalar:
+            raise ExecutionError("not a scalar query")
+        params = {**run.resolved.canonical.bindings, **params}
+        dist = self._distributed_plan(run, sources, scalar=True, params=params)
         if dist is not None:
             dist_workers, dist_artifact = dist
             started = time.perf_counter()
             with TRACER.span(
-                "query.execute", engine=run_engine, scalar=True, distributed=True
+                "query.execute", engine=run.engine, scalar=True, distributed=True
             ):
-                value = dist_artifact.execute(
-                    sources, {**bindings, **params}, dist_workers
-                )
-            if controller is not None:
-                controller.observe(
-                    adaptive_key,
-                    decision,
-                    run_engine,
-                    dist_workers,
-                    0,
-                    (time.perf_counter() - started) * 1e3,
-                    None,
-                    estimate,
-                    distributed=dist_workers,
-                )
+                value = dist_artifact.execute(sources, params, dist_workers)
+            run.observe(started, dist_workers, 0, None, dist_workers)
             return value
         parallel = self._parallel_plan(
-            expr, sources, run_engine, effective_parallelism, scalar=True
+            run.resolved, sources, run.engine, run.parallelism, scalar=True
         )
         if parallel is not None:
             workers, morsel_rows, artifact = parallel
-            morsel = effective_morsel or morsel_rows
+            morsel = run.morsel or morsel_rows
             started = time.perf_counter()
             with TRACER.span(
-                "query.execute", engine=run_engine, scalar=True, parallel=True
+                "query.execute", engine=run.engine, scalar=True, parallel=True
             ):
-                value = artifact.execute(
-                    sources, {**bindings, **params}, workers, morsel
-                )
-            if controller is not None:
-                controller.observe(
-                    adaptive_key,
-                    decision,
-                    run_engine,
-                    workers,
-                    morsel,
-                    (time.perf_counter() - started) * 1e3,
-                    None,
-                    estimate,
-                )
+                value = artifact.execute(sources, params, workers, morsel)
+            run.observe(started, workers, morsel, None)
             return value
         started = time.perf_counter()
-        with TRACER.span("query.execute", engine=run_engine, scalar=True):
-            value = compiled.execute(sources, {**bindings, **params})
-        if controller is not None:
-            controller.observe(
-                adaptive_key,
-                decision,
-                run_engine,
-                1,
-                0,
-                (time.perf_counter() - started) * 1e3,
-                None,
-                estimate,
-            )
+        with TRACER.span("query.execute", engine=run.engine, scalar=True):
+            value = run.compiled.execute(sources, params)
+        run.observe(started, 1, 0, None)
         return value
+
+    def _start(
+        self,
+        expr: Expr,
+        sources: List[Any],
+        engine: str,
+        adaptive: Any,
+        parallelism: Optional[int],
+        morsel_size: Optional[int],
+        distributed: Optional[int],
+    ) -> "_Run":
+        """Resolve the keys once, decide (adaptive), and fetch the artifact.
+
+        The sequential artifact compiles first even under parallelism: it
+        is the fallback, and it guarantees exact error parity (a query the
+        engine rejects is rejected with or without workers).
+        """
+        resolved = self._resolve(expr, sources, engine)
+        run = _Run(
+            resolved,
+            self._adaptive_controller(adaptive, engine),
+            engine,
+            parallelism,
+            morsel_size,
+            distributed,
+        )
+        if run.controller is None:
+            run.compiled = self._compiled_for(resolved, sources, engine)
+            return run
+        run.adaptive_key, run.estimate, run.decision = self._adaptive_decide(
+            resolved, sources, engine, run.controller
+        )
+        run.compiled, run.engine = self._compiled_adaptive(
+            resolved, sources, engine, run.decision
+        )
+        # caller-explicit knobs always beat the adaptive decision
+        if parallelism is None:
+            run.parallelism = run.decision.workers
+        if morsel_size is None:
+            run.morsel = run.decision.morsel
+        if distributed is None:
+            run.distributed = getattr(run.decision, "distributed", None)
+        return run
+
+    def _resolve(self, expr: Expr, sources: List[Any], engine: str) -> "_Resolution":
+        """Canonicalize *expr* and derive every cache-key component once."""
+        with TRACER.span("query.canonicalize", engine=engine):
+            canonical = canonicalize(expr)
+        options = self._options_token()
+        signature = _source_signature(sources)
+        facts = self._facts_component(canonical, sources, engine, options + signature)
+        return _Resolution(canonical, options, signature, facts, engine)
 
     def explain(self, expr: Expr, engine: str) -> str:
         """The optimized logical plan, as indented text."""
@@ -449,8 +351,7 @@ class QueryProvider:
         self, expr: Expr, sources: List[Any], engine: str
     ) -> CompiledQuery:
         """Compile (or fetch) the artifact without executing — bench hook."""
-        compiled, _ = self._compiled_for(expr, sources, engine)
-        return compiled
+        return self._compiled_for(self._resolve(expr, sources, engine), sources, engine)
 
     # -- adaptive execution (profile-driven engine/parallelism choice) -----------
 
@@ -477,22 +378,18 @@ class QueryProvider:
 
     def _adaptive_decide(
         self,
-        expr: Expr,
+        resolved: "_Resolution",
         sources: List[Any],
         engine: str,
         controller: AdaptiveController,
         explore: bool = True,
     ) -> tuple:
-        """(profile key, row estimate, decision, canonical) under a
-        ``query.decide`` span; any failure lands on the static fallback,
-        never an error."""
-        canonical: Optional[CanonicalQuery] = None
+        """(profile key, row estimate, decision) under a ``query.decide``
+        span; any failure lands on the static fallback, never an error."""
+        canonical = resolved.canonical
         with TRACER.span("query.decide", engine=engine) as span:
             try:
-                canonical = canonicalize(expr)
-                raw = cache_key(
-                    canonical, "::adaptive", _source_signature(sources)
-                )
+                raw = cache_key(canonical, "::adaptive", resolved.signature)
                 key = controller.profile_key(raw)
 
                 def derive():
@@ -525,7 +422,7 @@ class QueryProvider:
                 morsel=decision.morsel,
                 decision=decision.describe(),
             )
-        return key, estimate, decision, canonical
+        return key, estimate, decision
 
     def _candidate_engines(
         self, engine: str, sources: List[Any]
@@ -548,11 +445,10 @@ class QueryProvider:
 
     def _compiled_adaptive(
         self,
-        expr: Expr,
+        resolved: "_Resolution",
         sources: List[Any],
         engine: str,
         decision: Decision,
-        canonical: Optional[CanonicalQuery] = None,
     ) -> tuple:
         """Compile for the decided engine, falling back to the requested
         one when the decided engine rejects the query shape.
@@ -563,21 +459,14 @@ class QueryProvider:
         profile-driven switching may make supported queries faster, but
         it never widens engine capability.
         """
-        compiled, bindings = self._compiled_for(
-            expr, sources, engine, canonical=canonical
-        )
+        compiled = self._compiled_for(resolved, sources, engine)
         chosen = decision.engine
         if chosen != engine:
             try:
-                return (
-                    *self._compiled_for(
-                        expr, sources, chosen, canonical=canonical
-                    ),
-                    chosen,
-                )
+                return self._compiled_for(resolved, sources, chosen), chosen
             except UnsupportedQueryError:
                 METRICS.counter("adaptive.fallbacks").add()
-        return compiled, bindings, engine
+        return compiled, engine
 
     # -- internals --------------------------------------------------------------
 
@@ -612,26 +501,12 @@ class QueryProvider:
                 METRICS.counter("provider.compile_lock.pruned").add()
 
     def _compiled_for(
-        self,
-        expr: Expr,
-        sources: List[Any],
-        engine: str,
-        canonical: Optional[CanonicalQuery] = None,
-    ) -> tuple:
-        # the adaptive decision path already canonicalized; reuse its
-        # result (lambda-source inspection is the costly part, and paying
-        # it twice per execution would tax exactly the sub-ms queries the
-        # A/B gate watches)
-        if canonical is None:
-            with TRACER.span("query.canonicalize", engine=engine):
-                canonical = canonicalize(expr)
-        key = cache_key(
-            canonical,
-            engine,
-            self._options_token()
-            + self._facts_component(canonical, sources, engine)
-            + _source_signature(sources),
-        )
+        self, resolved: "_Resolution", sources: List[Any], engine: str
+    ) -> CompiledQuery:
+        if engine == resolved.engine:
+            key = resolved.compiled_key
+        else:  # an adaptive switch to another engine
+            key = resolved.key(engine)
         # per-key locking: concurrent requests for the same query block
         # until its single compilation finishes (no duplicated work, and
         # exactly one cache miss per compilation); unrelated queries
@@ -642,25 +517,23 @@ class QueryProvider:
                 compiled = self.cache.find(key)
                 span.set(hit=compiled is not None)
             if compiled is None:
-                compiled = self._compile(canonical, sources, engine)
+                compiled = self._compile(resolved.canonical, sources, engine)
                 # register before store: store() may evict other entries
                 # (whose associations are already registered), and a
                 # concurrent store could evict *this* key right away
-                self._register_association(key, canonical, sources)
+                self._register_association(key, resolved)
                 self.cache.store(key, compiled)
         finally:
             self._release_key_lock(key, entry)
-        return compiled, canonical.bindings
+        return compiled
 
     # -- cache-eviction coherence ------------------------------------------------
 
-    def _register_association(
-        self, key: Any, canonical: CanonicalQuery, sources: List[Any]
-    ) -> None:
+    def _register_association(self, key: Any, resolved: "_Resolution") -> None:
         """Record which analysis/IR entries *key*'s compiled entry uses."""
-        sig = _source_signature(sources)
-        analysis_key = cache_key(canonical, "::analysis", sig)
-        ir_key = cache_key(canonical, "::ir", self._options_token() + sig)
+        canonical, signature = resolved.canonical, resolved.signature
+        analysis_key = cache_key(canonical, "::analysis", signature)
+        ir_key = cache_key(canonical, "::ir", resolved.options + signature)
         with self._lock:
             if key in self._associations:
                 return  # re-store of a live entry: refcounts already held
@@ -711,7 +584,7 @@ class QueryProvider:
 
     def _parallel_plan(
         self,
-        expr: Expr,
+        resolved: "_Resolution",
         sources: List[Any],
         engine: str,
         parallelism: Optional[int],
@@ -722,7 +595,7 @@ class QueryProvider:
         workers = self._resolve_parallelism(parallelism)
         if workers < 2 or engine not in PARALLEL_ENGINES:
             return None
-        artifact = self._parallel_for(expr, sources, engine, workers)
+        artifact = self._parallel_for(resolved, sources, engine, workers)
         if artifact is None or artifact.scalar != scalar:
             return None
         if source_length(sources[artifact.morsel_ordinal]) is None:
@@ -730,22 +603,14 @@ class QueryProvider:
         return workers, DEFAULT_MORSEL_ROWS, artifact
 
     def _parallel_for(
-        self, expr: Expr, sources: List[Any], engine: str, workers: int
+        self, resolved: "_Resolution", sources: List[Any], engine: str, workers: int
     ) -> Optional[ParallelQuery]:
-        canonical = canonicalize(expr)
-        key = cache_key(
-            canonical,
-            f"{engine}::parallel",
-            (workers,)
-            + self._options_token()
-            + self._facts_component(canonical, sources, engine)
-            + _source_signature(sources),
-        )
+        key = resolved.key(f"{engine}::parallel", (workers,))
         lock_entry = self._acquire_key_lock(key)
         try:
             entry = self._parallel_entries.get(key)
             if entry is None:
-                entry = self._build_parallel(canonical, sources, engine)
+                entry = self._build_parallel(resolved.canonical, sources, engine)
                 if entry is None:
                     entry = _SEQUENTIAL
                 with self._lock:
@@ -830,13 +695,7 @@ class QueryProvider:
             return 0
 
     def _distributed_plan(
-        self,
-        expr: Expr,
-        sources: List[Any],
-        engine: str,
-        distributed: Optional[int],
-        scalar: bool,
-        params: Dict[str, Any],
+        self, run: "_Run", sources: List[Any], scalar: bool, params: Dict[str, Any]
     ) -> Optional[tuple]:
         """(workers, DistributedQuery) — or None to fall through to the
         thread tier / sequential artifact.
@@ -846,12 +705,12 @@ class QueryProvider:
         back (counted in ``dist.fallbacks``) rather than erroring: asking
         for distribution never makes a supported query fail.
         """
-        workers = self._resolve_distributed(distributed)
-        if workers < 2 or engine not in DISTRIBUTED_ENGINES:
+        workers = self._resolve_distributed(run.distributed)
+        if workers < 2 or run.engine not in DISTRIBUTED_ENGINES:
             return None
         if not sources or not all(isinstance(s, StructArray) for s in sources):
             return None
-        artifact = self._distributed_for(expr, sources, engine)
+        artifact = self._distributed_for(run.resolved, sources, run.engine)
         if artifact is None or artifact.scalar != scalar:
             return None
         from ..distributed import wire
@@ -864,23 +723,18 @@ class QueryProvider:
         return workers, artifact
 
     def _distributed_for(
-        self, expr: Expr, sources: List[Any], engine: str
+        self, resolved: "_Resolution", sources: List[Any], engine: str
     ) -> Optional[Any]:
-        canonical = canonicalize(expr)
         # no worker count in the key: the broadcast artifact is
         # shape-only, and one compilation serves any shard fan-out
-        key = cache_key(
-            canonical,
-            f"{engine}::distributed",
-            self._options_token()
-            + self._facts_component(canonical, sources, engine)
-            + _source_signature(sources),
-        )
+        key = resolved.key(f"{engine}::distributed")
         lock_entry = self._acquire_key_lock(key)
         try:
             entry = self._distributed_entries.get(key)
             if entry is None:
-                entry = self._build_distributed(canonical, sources, engine, key)
+                entry = self._build_distributed(
+                    resolved.canonical, sources, engine, key
+                )
                 if entry is None:
                     entry = _SEQUENTIAL
                 with self._lock:
@@ -959,20 +813,20 @@ class QueryProvider:
         sources: List[Any],
         plan: Any = None,
         engine: str = "",
+        parts: Optional[tuple] = None,
     ) -> Any:
         """Derive (or recall) the dataflow facts for one query + bindings.
 
         Facts look through auto-lifted parameter values, so they are
         memoized per binding set; the expensive path (plan + lowering)
         only runs once per distinct binding set, and re-executions hit
-        the dictionary.
+        the dictionary.  *parts* is the options token plus the source
+        signature when the caller already derived them.
         """
-        base = cache_key(
-            canonical,
-            "::facts",
-            self._options_token() + _source_signature(sources),
-        )
-        frozen = _frozen_bindings(canonical.bindings)
+        if parts is None:
+            parts = self._options_token() + _source_signature(sources)
+        base = cache_key(canonical, "::facts", parts)
+        frozen = canonical.frozen_bindings
         key = None if frozen is None else (base, frozen)
         if key is not None:
             with self._lock:
@@ -1007,7 +861,11 @@ class QueryProvider:
         return facts
 
     def _facts_component(
-        self, canonical: CanonicalQuery, sources: List[Any], engine: str
+        self,
+        canonical: CanonicalQuery,
+        sources: List[Any],
+        engine: str,
+        parts: tuple,
     ) -> tuple:
         """Cache-key component for binding-dependent emission decisions.
 
@@ -1018,7 +876,7 @@ class QueryProvider:
         ``REPRO_GUARD_ELISION`` mid-process never reuses elided code.
         """
         try:
-            facts = self._facts_for(canonical, sources, engine=engine)
+            facts = self._facts_for(canonical, sources, engine=engine, parts=parts)
         except Exception:  # noqa: BLE001 - deferred, not swallowed
             # the query does not plan/lower (ill-typed, unsupported, …):
             # _compile re-runs the same stages and reports the real error
@@ -1146,15 +1004,104 @@ class QueryProvider:
         return compiled
 
 
-def _observe_rows(
-    iterator: Iterator[Any],
-    controller: AdaptiveController,
-    key: str,
-    decision: Decision,
-    engine: str,
-    estimate: Optional[RowEstimate],
-    started: float,
-) -> Iterator[Any]:
+class _Resolution:
+    """One execution's canonical form and cache-key components.
+
+    Derived once at the top of :meth:`QueryProvider.execute` (and
+    ``execute_scalar``); the compiled, morsel and distributed keys are all
+    built from these parts, so a warm call derives each of them once.
+    """
+
+    __slots__ = ("canonical", "options", "signature", "facts", "engine", "compiled_key")
+
+    def __init__(
+        self,
+        canonical: CanonicalQuery,
+        options: tuple,
+        signature: tuple,
+        facts: tuple,
+        engine: str,
+    ) -> None:
+        self.canonical = canonical
+        self.options = options
+        self.signature = signature
+        #: binding-dependent emission decisions (see _facts_component)
+        self.facts = facts
+        self.engine = engine
+        self.compiled_key = self.key(engine)
+
+    def key(self, tier: str, extra: tuple = ()) -> Any:
+        """Cache key of one artifact tier: an engine name for compiled
+        code, ``<engine>::parallel`` / ``<engine>::distributed`` for the
+        morsel and broadcast artifacts."""
+        return cache_key(
+            self.canonical, tier, extra + self.options + self.facts + self.signature
+        )
+
+
+class _Run:
+    """Per-execution dispatch state: the resolved keys, the artifact, and
+    the adaptive decision (all None when execution is static)."""
+
+    __slots__ = (
+        "resolved",
+        "controller",
+        "compiled",
+        "engine",
+        "parallelism",
+        "morsel",
+        "distributed",
+        "decision",
+        "adaptive_key",
+        "estimate",
+    )
+
+    def __init__(
+        self,
+        resolved: _Resolution,
+        controller: Optional[AdaptiveController],
+        engine: str,
+        parallelism: Optional[int],
+        morsel: Optional[int],
+        distributed: Optional[int],
+    ) -> None:
+        self.resolved = resolved
+        self.controller = controller
+        self.compiled: Optional[CompiledQuery] = None
+        #: the engine that runs — the adaptive choice may differ
+        self.engine = engine
+        self.parallelism = parallelism
+        self.morsel = morsel
+        self.distributed = distributed
+        self.decision: Optional[Decision] = None
+        self.adaptive_key = ""
+        self.estimate: Optional[RowEstimate] = None
+
+    def observe(
+        self,
+        started: float,
+        workers: int,
+        morsel: int,
+        rows: Optional[int],
+        distributed: int = 0,
+    ) -> None:
+        """Feed the finished execution to the adaptive profile, if any."""
+        if self.controller is None:
+            return
+        self.controller.observe(
+            self.adaptive_key,
+            self.decision,
+            self.engine,
+            workers,
+            morsel,
+            (time.perf_counter() - started) * 1e3,
+            rows,
+            self.estimate,
+            distributed=distributed,
+        )
+
+
+def _observe_rows(iterator: Iterator[Any], run: _Run, started: float) -> Iterator[Any]:
     """Yield through *iterator*, feeding the profile once it finishes.
 
     The observation covers kernel invocation plus consumption (the lazy
@@ -1167,16 +1114,7 @@ def _observe_rows(
             count += 1
             yield row
     finally:
-        controller.observe(
-            key,
-            decision,
-            engine,
-            1,
-            0,
-            (time.perf_counter() - started) * 1e3,
-            count,
-            estimate,
-        )
+        run.observe(started, 1, 0, count)
 
 
 class _KeyLockEntry:

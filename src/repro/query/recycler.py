@@ -50,7 +50,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..analysis import expression_effects
 from ..errors import ExecutionError
-from ..expressions.canonical import CanonicalQuery, canonicalize
+from ..expressions.canonical import CanonicalQuery, canonicalize, freeze_binding
 from ..expressions.nodes import Expr
 from ..observability.metrics import METRICS
 from ..observability.tracer import TRACER
@@ -125,16 +125,6 @@ class _Entry:
     delta_reason: str = ""
 
 
-def _freeze_value(value: Any) -> Any:
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze_value(v) for v in value)
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze_value(v)) for k, v in value.items()))
-    if isinstance(value, set):
-        return frozenset(value)
-    return value
-
-
 def _versioned(source: Any) -> bool:
     return isinstance(source, StructArray)
 
@@ -179,18 +169,12 @@ class RecyclingProvider(QueryProvider):
     def _result_key(
         self, expr: Expr, sources: List[Any], engine: str, params: Dict[str, Any]
     ) -> Optional[Any]:
-        key, _ = self._result_key_canonical(expr, sources, engine, params)
-        return key
-
-    def _result_key_canonical(
-        self, expr: Expr, sources: List[Any], engine: str, params: Dict[str, Any]
-    ) -> Tuple[Optional[Any], Optional[CanonicalQuery]]:
         effects = expression_effects(expr)
         if effects.nondeterministic:
             # a lambda that reads the clock/RNG can return a different
             # value per run; replaying a cached result would be a lie
             METRICS.counter("recycler.nondeterministic_skips").add()
-            return None, None
+            return None
         canonical = canonicalize(expr)
         merged = {
             k: v
@@ -199,17 +183,17 @@ class RecyclingProvider(QueryProvider):
         }
         try:
             frozen_params = tuple(
-                sorted((k, _freeze_value(v)) for k, v in merged.items())
+                sorted((k, freeze_binding(v)) for k, v in merged.items())
             )
         except TypeError:
-            return None, None  # unhashable parameter: not recyclable
+            return None  # unhashable parameter: not recyclable
         statics = tuple(_source_static(s) for s in sources)
         key = (engine, canonical.key, frozen_params, statics)
         try:
             hash(key)
         except TypeError:
-            return None, None  # unhashable parameter value: not recyclable
-        return key, canonical
+            return None  # unhashable parameter value: not recyclable
+        return key
 
     # -- provider surface ------------------------------------------------------------
 
@@ -226,14 +210,14 @@ class RecyclingProvider(QueryProvider):
         # parallelism is deliberately absent from the result key: parallel
         # results are bit-identical to sequential ones, so recycling
         # across worker counts is sound
-        key, canonical = self._result_key_canonical(expr, sources, engine, params)
+        key = self._result_key(expr, sources, engine, params)
         if key is None:
             return super().execute(
                 expr, sources, engine, params, parallelism, morsel_size,
                 **({} if adaptive is None else {"adaptive": adaptive}),
             )
         rows = self._recycled(
-            key, canonical, expr, sources, engine, params,
+            key, expr, sources, engine, params,
             parallelism, morsel_size, adaptive, scalar=False,
         )
         return iter(rows)
@@ -248,14 +232,14 @@ class RecyclingProvider(QueryProvider):
         morsel_size: Optional[int] = None,
         adaptive: Any = None,
     ) -> Any:
-        key, canonical = self._result_key_canonical(expr, sources, engine, params)
+        key = self._result_key(expr, sources, engine, params)
         if key is None:
             return super().execute_scalar(
                 expr, sources, engine, params, parallelism, morsel_size,
                 **({} if adaptive is None else {"adaptive": adaptive}),
             )
         rows = self._recycled(
-            key, canonical, expr, sources, engine, params,
+            key, expr, sources, engine, params,
             parallelism, morsel_size, adaptive, scalar=True,
         )
         return rows[0]
@@ -265,7 +249,6 @@ class RecyclingProvider(QueryProvider):
     def _recycled(
         self,
         key: Any,
-        canonical: CanonicalQuery,
         expr: Expr,
         sources: List[Any],
         engine: str,
@@ -297,7 +280,7 @@ class RecyclingProvider(QueryProvider):
                 return refreshed
             # fall through: full re-execution replaces the stale entry
             return self._materialize(
-                key, canonical, expr, pinned, engine, params,
+                key, expr, pinned, engine, params,
                 parallelism, morsel_size, adaptive, scalar, marks,
                 mode="full",
                 reason=self._fallback_reason(entry, pinned, marks),
@@ -305,7 +288,7 @@ class RecyclingProvider(QueryProvider):
         self.recycler_stats.misses += 1
         METRICS.counter("recycler.misses").add()
         return self._materialize(
-            key, canonical, expr, pinned, engine, params,
+            key, expr, pinned, engine, params,
             parallelism, morsel_size, adaptive, scalar, marks,
             mode="miss", reason="",
         )
@@ -406,7 +389,6 @@ class RecyclingProvider(QueryProvider):
     def _materialize(
         self,
         key: Any,
-        canonical: CanonicalQuery,
         expr: Expr,
         pinned: List[Any],
         engine: str,
@@ -425,7 +407,7 @@ class RecyclingProvider(QueryProvider):
             self.recycler_stats.full_reruns += 1
             METRICS.counter("recycler.full_reruns").add()
         artifact, bindings, delta_reason = self._delta_artifact(
-            expr, pinned, engine, scalar, canonical
+            expr, pinned, engine, scalar
         )
         with TRACER.span("query.recycle", mode=mode, reason=reason):
             if artifact is None:
@@ -475,7 +457,6 @@ class RecyclingProvider(QueryProvider):
         pinned: List[Any],
         engine: str,
         scalar: bool,
-        canonical: CanonicalQuery,
     ) -> Tuple[Optional[ParallelQuery], Dict[str, Any], str]:
         """The morsel artifact powering incremental refresh, or (None,
         bindings, reason) when this query must recycle wholesale.
@@ -486,10 +467,10 @@ class RecyclingProvider(QueryProvider):
         """
         if engine == "linq":
             # the interpreted baseline never compiles; recycle wholesale
-            return None, canonical.bindings, "engine 'linq' emits no morsel kernels"
-        compiled, bindings = self._compiled_for(
-            expr, pinned, engine, canonical=canonical
-        )
+            return None, {}, "engine 'linq' emits no morsel kernels"
+        resolved = self._resolve(expr, pinned, engine)
+        compiled = self._compiled_for(resolved, pinned, engine)
+        bindings = resolved.canonical.bindings
         if compiled.scalar != scalar:
             # match the plain provider's misuse errors exactly
             if scalar:
@@ -510,9 +491,9 @@ class RecyclingProvider(QueryProvider):
             # pay morsel-kernel compilation for sources that cannot grow
             # in a version-observable way
             return None, bindings, "no versioned StructArray sources"
-        artifact = self._parallel_for(expr, pinned, engine, 2)
+        artifact = self._parallel_for(resolved, pinned, engine, 2)
         if artifact is None or artifact.scalar != scalar:
-            return None, bindings, self._split_reason(canonical)
+            return None, bindings, self._split_reason(resolved.canonical)
         driver = pinned[artifact.morsel_ordinal]
         if not _versioned(driver):
             return None, bindings, "driver source is not a versioned StructArray"

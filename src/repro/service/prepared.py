@@ -66,15 +66,17 @@ class PreparedStatement:
             self._bindings = self._canonical.bindings
             self._parallel = None
         else:
-            self._compiled, self._bindings = provider._compiled_for(
-                query.expr, self._sources, self._engine
+            resolved = provider._resolve(query.expr, self._sources, self._engine)
+            self._compiled = provider._compiled_for(
+                resolved, self._sources, self._engine
             )
+            self._bindings = resolved.canonical.bindings
             self._expr = query.expr
             # the morsel artifact is worker-count independent; build it
             # once here when parallel execution was requested
             self._parallel = (
                 provider._parallel_plan(
-                    query.expr,
+                    resolved,
                     self._sources,
                     self._engine,
                     requested,

@@ -24,7 +24,7 @@ from repro.storage import Field, Schema, StructArray
 
 T1 = Schema(
     [
-        Field("rid", "int"),
+        Field("id", "int"),
         Field("g", "int"),
         Field("v", "float"),
         Field("s", "str", 4),
@@ -85,7 +85,7 @@ def _shape_filter_select(rng):
         if out_mode == 0:
             return q, None
         if out_mode == 1:
-            return q.select(lambda r: new(i=r.rid, y=r.v + r.v)), None
+            return q.select(lambda r: new(i=r.id, y=r.v + r.v)), None
         return q.select(lambda r: r.v), None
 
     return apply
@@ -132,7 +132,7 @@ def _shape_sort_tail(rng):
 
     def apply(outer, inner):
         q = outer.where(lambda r: r.v > x).select(
-            lambda r: new(g=r.g, v=r.v, i=r.rid)
+            lambda r: new(g=r.g, v=r.v, i=r.id)
         )
         q = q.order_by(lambda p: p.g).then_by(lambda p: p.i)
         if tail == 1:
@@ -164,7 +164,7 @@ def _shape_inner_join(rng):
                 inner,
                 lambda r: r.g,
                 lambda b: b.k,
-                lambda r, b: new(i=r.rid, v=r.v, w=b.w),
+                lambda r, b: new(i=r.id, v=r.v, w=b.w),
             ),
             None,
         )
@@ -182,7 +182,7 @@ def _shape_left_join(rng):
                 inner,
                 lambda r: r.g,
                 lambda b: b.k,
-                lambda r, b: new(i=r.rid, w=b.w, t=b.t),
+                lambda r, b: new(i=r.id, w=b.w, t=b.t),
                 default={"k": sentinel, "w": -0.25, "t": "zz"},
             ),
             None,
@@ -376,7 +376,7 @@ def test_left_join_falls_back_to_full_rerun():
             from_iterable(inner).using("compiled", provider),
             lambda r: r.g,
             lambda b: b.k,
-            lambda r, b: new(i=r.rid, w=b.w),
+            lambda r, b: new(i=r.id, w=b.w),
             default={"k": -1, "w": -0.25, "t": "zz"},
         )
     )
@@ -433,7 +433,7 @@ def test_non_growth_change_falls_back():
             from_iterable(inner).using("compiled", provider),
             lambda r: r.g,
             lambda b: b.k,
-            lambda r, b: new(i=r.rid, w=b.w),
+            lambda r, b: new(i=r.id, w=b.w),
         )
     )
     query.to_list()
@@ -447,7 +447,7 @@ def test_non_growth_change_falls_back():
             from_iterable(inner).using("compiled", QueryProvider()),
             lambda r: r.g,
             lambda b: b.k,
-            lambda r, b: new(i=r.rid, w=b.w),
+            lambda r, b: new(i=r.id, w=b.w),
         )
         .to_list()
     )
@@ -489,7 +489,7 @@ def test_plain_growth_compacts_superseded_entries():
         from_iterable(items)
         .using("compiled", provider)
         .where(lambda r: r.g != 1)
-        .select(lambda r: new(i=r.rid, v=r.v))
+        .select(lambda r: new(i=r.id, v=r.v))
     )
     query.to_list()
     assert provider.cached_results == 1
@@ -508,7 +508,7 @@ def test_plain_growth_compacts_superseded_entries():
     other = (
         from_iterable(items)
         .using("compiled", provider)
-        .select(lambda r: r.rid)
+        .select(lambda r: r.id)
     )
     other.to_list()
     assert provider.cached_results == 2
